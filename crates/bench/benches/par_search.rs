@@ -1,73 +1,11 @@
-//! HA-Par criterion microbenchmarks: the three query-time parallelism
-//! mechanisms in isolation (see the `par` experiment for the tabled
-//! sweep and BENCH_par.json for a captured run).
-//!
-//! * `par_search_serve_batch` — one batched select on a 4-shard serve,
-//!   sequential executor vs the parallel fan-out.
-//! * `par_search_morsels` — 512-bit frozen-view H-Search with the
-//!   frontier level split into stealable morsels, by worker count.
-//! * `par_search_prefetch` — the same traversal with frontier prefetch
-//!   hints off vs at the default look-ahead.
+//! HA-Par criterion microbenchmark (see the `par` experiment for the
+//! tabled sweep and BENCH_par.json for a captured run):
+//! `par_search_prefetch` — 512-bit frozen-view H-Search with frontier
+//! prefetch hints off vs at the default look-ahead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ha_core::testkit::clustered_dataset;
-use ha_core::{DynamicHaIndex, ExecConfig, FreezePolicy};
-use ha_service::{HaServe, ServeConfig};
-
-fn bench_serve_batch(c: &mut Criterion) {
-    let code_len = 64;
-    let data = clustered_dataset(8_000, code_len, 24, 4, 13_000);
-    let queries: Vec<_> = data.iter().step_by(200).map(|(c, _)| c.clone()).collect();
-
-    let mut g = c.benchmark_group("par_search_serve_batch");
-    for (label, workers) in [("sequential", 1usize), ("parallel", 4)] {
-        let cfg = ServeConfig {
-            shards: 4,
-            workers: 0, // manual drive: the bench thread pumps
-            queue_capacity: 4096,
-            max_batch: 64,
-            cache_capacity: 0,
-            exec: ExecConfig::sequential().with_workers(workers),
-            ..ServeConfig::default()
-        };
-        let serve = HaServe::build(code_len, data.clone(), cfg).expect("build serve");
-        g.bench_function(BenchmarkId::new(label, format!("x{workers}")), |b| {
-            b.iter(|| {
-                let tickets: Vec<_> = queries
-                    .iter()
-                    .map(|q| serve.submit_select(q, 3).expect("submit"))
-                    .collect();
-                serve.pump_all();
-                for t in tickets {
-                    std::hint::black_box(t.wait().expect("answer"));
-                }
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_morsels(c: &mut Criterion) {
-    let code_len = 512;
-    let data = clustered_dataset(4_000, code_len, 12, 8, 13_010);
-    let queries: Vec<_> = data.iter().step_by(100).map(|(c, _)| c.clone()).collect();
-    let mut idx = DynamicHaIndex::build(data);
-    idx.freeze_with(FreezePolicy::adaptive());
-    let flat = idx.flat().expect("frozen").clone();
-
-    let mut g = c.benchmark_group("par_search_morsels");
-    for workers in [1usize, 2, 4] {
-        let view = flat.view().with_parallel(workers);
-        g.bench_function(BenchmarkId::new("workers", workers), |b| {
-            let mut qi = 0usize;
-            b.iter(|| {
-                std::hint::black_box(view.search(&queries[qi % queries.len()], 60));
-                qi += 1;
-            })
-        });
-    }
-    g.finish();
-}
+use ha_core::{DynamicHaIndex, FreezePolicy};
 
 fn bench_prefetch(c: &mut Criterion) {
     let code_len = 512;
@@ -94,6 +32,6 @@ fn bench_prefetch(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_serve_batch, bench_morsels, bench_prefetch
+    targets = bench_prefetch
 }
 criterion_main!(benches);

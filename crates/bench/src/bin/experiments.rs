@@ -32,7 +32,7 @@ Regenerates the paper's evaluation artifacts (EDBT 2015, Tang et al.):
   fig10    effect of the preprocessing sample rate
   flat     frozen CSR/SoA snapshot vs arena BFS; parallel H-Build scaling
   kernels  HA-Kern distance kernels × layouts; adaptive freeze policy end-to-end
-  par      HA-Par: shard fan-out, morsel frontiers, prefetch, kernel dispatch
+  par      HA-Par: prefetch, kernel dispatch, scratch reuse
   planner  all four exact backends timed per grid cell vs the cost model's pick
   store    HA-Store: cold-open-to-first-query, mmap vs decode+H-Build
   serve    HA-Serve: online select throughput, single vs micro-batched

@@ -2,13 +2,10 @@
 //! figure in the paper; see docs/ARCHITECTURE.md "The search executor"
 //! and docs/KERNELS.md "Runtime dispatch & prefetch tuning").
 //!
-//! Five tables, one per HA-Par mechanism:
+//! Three tables, one per single-query HA-Par mechanism (the service's
+//! kNN fan-out is measured end to end by the repository benchmark, see
+//! EXPERIMENTS.md "HA-Par"):
 //!
-//! * **shard fan-out** — batched select on a 4-shard `HaServe`, the
-//!   sequential executor vs parallel executors. Per-shard probes become
-//!   stealable tasks; answers are byte-identical (the table checks).
-//! * **morsel frontiers** — 512-bit frozen-view H-Search with the level
-//!   split into stealable morsels, across worker counts.
 //! * **prefetch** — frontier software-prefetch hints on vs off, per
 //!   code width. Pure hints: the identical column must always be yes.
 //! * **kernel dispatch** — every kernel timed on the same workload,
@@ -18,30 +15,21 @@
 //!   EXPERIMENTS.md before/after row).
 //!
 //! Every cell is best-of-3: on a loaded or single-core host a single
-//! sample is mostly scheduler noise. The host's core count is printed
-//! with the fan-out tables — on a 1-core host the honest expectation is
-//! parallel ≈ sequential (the pool adds only stealing overhead), and the
-//! ratio column records whatever the host really did.
+//! sample is mostly scheduler noise.
 
 use std::time::Duration;
 
 use ha_bitcode::Kernel;
 use ha_core::testkit::clustered_dataset;
-use ha_core::{DynamicHaIndex, ExecConfig, FreezePolicy, TupleId};
-use ha_service::{HaServe, ServeConfig};
+use ha_core::{DynamicHaIndex, FreezePolicy};
 use ha_store::Scratch;
 
 use crate::{fmt_duration, print_table, query_workload, time_per_call, Scale};
 
 const SAMPLES: usize = 3;
-const SHARDS: usize = 4;
-const RADIUS: u32 = 3;
 
-/// Runs all five HA-Par tables.
+/// Runs all three HA-Par tables.
 pub fn run(scale: &Scale) {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    shard_fanout_table(scale, cores);
-    morsel_table(scale, cores);
     prefetch_table(scale);
     kernel_dispatch_table(scale);
     scratch_reuse_table(scale);
@@ -49,165 +37,6 @@ pub fn run(scale: &Scale) {
 
 fn best_of(samples: usize, mut f: impl FnMut() -> Duration) -> Duration {
     (0..samples.max(1)).map(|_| f()).min().unwrap_or(Duration::MAX)
-}
-
-/// Batched select through the serving layer: per-shard probes fan out
-/// on the executor; the sequential executor is the 1.00× baseline.
-fn shard_fanout_table(scale: &Scale, cores: usize) {
-    let code_len = 64;
-    let n = scale.n(20_000);
-    let data = clustered_dataset(n, code_len, 24, 4, 9300);
-    // A big batch: the scoped pool spawns its workers per fan-out, so
-    // the batch must carry enough probe work to amortise thread start
-    // (the same reason production batches are large).
-    let queries = query_workload(&data, 512, 9301);
-
-    let serve_with = |exec: ExecConfig| {
-        let cfg = ServeConfig {
-            shards: SHARDS,
-            workers: 0, // manual drive: the measured thread pumps
-            queue_capacity: 4096,
-            max_batch: 512,
-            cache_capacity: 0,
-            exec,
-            ..ServeConfig::default()
-        };
-        HaServe::build(code_len, data.clone(), cfg)
-    };
-
-    let run_batch = |serve: &HaServe| -> Option<Vec<Vec<TupleId>>> {
-        let mut tickets = Vec::with_capacity(queries.len());
-        for q in &queries {
-            tickets.push(serve.submit_select(q, RADIUS).ok()?);
-        }
-        serve.pump_all();
-        tickets.into_iter().map(|t| t.wait().ok()).collect()
-    };
-
-    let variants: Vec<(String, ExecConfig)> = vec![
-        ("sequential".to_string(), ExecConfig::sequential()),
-        ("parallel x4".to_string(), ExecConfig::sequential().with_workers(4)),
-        (
-            format!("parallel x{cores} (host)"),
-            ExecConfig::sequential().with_workers(cores),
-        ),
-    ];
-
-    // Build every variant up front, warm it, then sample the variants
-    // in interleaved rounds (best-of across rounds): slow drift on a
-    // shared host hits all variants alike instead of whichever happened
-    // to run last.
-    let mut serves = Vec::new();
-    let mut all_answers = Vec::new();
-    for (label, exec) in variants {
-        let serve = match serve_with(exec) {
-            Ok(s) => s,
-            Err(e) => {
-                println!("par: building the service failed: {e}");
-                return;
-            }
-        };
-        let Some(answers) = run_batch(&serve) else {
-            println!("par: the warmup batch failed");
-            return;
-        };
-        all_answers.push(answers);
-        serves.push((label, exec, serve));
-    }
-    let mut best = vec![Duration::MAX; serves.len()];
-    for _ in 0..5 {
-        for (i, (_, _, serve)) in serves.iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            std::hint::black_box(run_batch(serve));
-            best[i] = best[i].min(t0.elapsed());
-        }
-    }
-    let base_t = best[0];
-    let mut rows = Vec::new();
-    for (i, (label, exec, _)) in serves.iter().enumerate() {
-        let per_batch = best[i];
-        rows.push(vec![
-            label.clone(),
-            format!("{}", exec.workers),
-            fmt_duration(per_batch),
-            format!("{:.0}", queries.len() as f64 / per_batch.as_secs_f64().max(1e-12)),
-            format!("{:.2}x", base_t.as_secs_f64() / per_batch.as_secs_f64().max(1e-12)),
-            if all_answers[i] == all_answers[0] { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    print_table(
-        &format!(
-            "HA-Par shard fan-out: batched select on {SHARDS} shards \
-             (n={n}, {} queries/batch, h={RADIUS}, host cores: {cores})",
-            queries.len()
-        ),
-        &["executor", "workers", "per batch", "queries/s", "speedup", "identical"],
-        &rows,
-    );
-}
-
-/// Morsel-split frontier levels on the frozen 512-bit snapshot (wide
-/// clustered levels are exactly the shape that crosses the 2×MORSEL
-/// trigger).
-fn morsel_table(scale: &Scale, cores: usize) {
-    let code_len = 512;
-    let n = scale.n(6_000);
-    let data = clustered_dataset(n, code_len, 12, 8, 9310);
-    let queries = query_workload(&data, scale.queries.min(32), 9311);
-    let mut idx = DynamicHaIndex::build(data);
-    idx.freeze_with(FreezePolicy::adaptive());
-    let Some(flat) = idx.flat() else {
-        println!("par: freeze produced no snapshot");
-        return;
-    };
-    let h = 60u32;
-
-    let timed = |workers: usize| {
-        let view = flat.view().with_parallel(workers);
-        best_of(SAMPLES, || {
-            let mut qi = 0usize;
-            time_per_call(queries.len(), || {
-                std::hint::black_box(view.search(&queries[qi % queries.len()], h));
-                qi += 1;
-            })
-        })
-    };
-    let want: Vec<Vec<u64>> =
-        queries.iter().map(|q| flat.view().with_parallel(1).search(q, h)).collect();
-
-    let mut rows = Vec::new();
-    std::hint::black_box(timed(1)); // warm caches before the baseline
-    let base = timed(1);
-    let mut widths = vec![1usize, 2, 4];
-    if !widths.contains(&cores) {
-        widths.push(cores);
-    }
-    for workers in widths {
-        let per = if workers == 1 { base } else { timed(workers) };
-        let identical = queries
-            .iter()
-            .zip(&want)
-            .all(|(q, w)| flat.view().with_parallel(workers).search(q, h) == *w);
-        rows.push(vec![
-            format!("{workers}"),
-            fmt_duration(per),
-            format!("{:.2}x", base.as_secs_f64() / per.as_secs_f64().max(1e-12)),
-            if identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    print_table(
-        &format!(
-            "HA-Par morsel frontiers: 512-bit frozen H-Search (n={n}, h={h}, \
-             host cores: {cores}{})",
-            if cores == 1 {
-                "; with one core the parallel rows measure pure stealing overhead"
-            } else {
-                ""
-            }
-        ),
-        &["workers", "per query", "speedup", "identical"],
-        &rows,
-    );
 }
 
 /// Frontier prefetch hints on vs off. The hint cannot change answers;
@@ -294,7 +123,6 @@ fn kernel_dispatch_table(scale: &Scale) {
         });
         rows.push(vec![
             kernel.name().to_string(),
-            if kernel.is_native() { "yes" } else { "no (=lanes)" }.to_string(),
             fmt_duration(per),
             if kernel == detected { "<- detected" } else { "" }.to_string(),
         ]);
@@ -305,7 +133,7 @@ fn kernel_dispatch_table(scale: &Scale) {
              (bits={code_len}, n={n}, h={h}; Kernel::detect() = {})",
             detected.name()
         ),
-        &["kernel", "native", "per query", "dispatch"],
+        &["kernel", "per query", "dispatch"],
         &rows,
     );
 }

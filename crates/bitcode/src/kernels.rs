@@ -1,11 +1,11 @@
 //! HA-Kern — the distance-kernel layer behind every frozen-snapshot
 //! search path.
 //!
-//! [`masked_distance_many`](crate::masked_distance_many) (the original
-//! scalar SoA sweep) treats one sibling group as `2 · words · group`
-//! contiguous words and pays one branchy scalar XOR/popcount step per
-//! sibling per word-plane. That shape is already memory-friendly, but it
-//! leaves throughput on the table in two opposite regimes:
+//! The scalar SoA sweep (the original HA-Flat kernel) treats one sibling
+//! group as `2 · words · group` contiguous words and pays one branchy
+//! scalar XOR/popcount step per sibling per word-plane. That shape is
+//! already memory-friendly, but it leaves throughput on the table in two
+//! opposite regimes:
 //!
 //! * **Wide groups, narrow codes** (clustered 64-bit data): the sweep is
 //!   popcount-throughput-bound and the per-sibling `a <= limit` branch
@@ -28,17 +28,13 @@
 //!
 //! [`masked_distance_group`] is the single dispatch point: a [`Kernel`]
 //! (runtime choice) × [`GroupLayout`] (per-group data) pair selects the
-//! implementation. With the `simd` crate feature (nightly only — it
-//! enables `portable_simd`), [`Kernel::Simd`] runs `std::simd` variants;
-//! without it, `Simd` degrades to the lane-chunked kernels so callers can
-//! name `Kernel::Simd` unconditionally.
+//! implementation.
 //!
 //! # Contract (all kernels)
 //!
-//! Identical to `masked_distance_many`: `acc[s]` carries sibling `s`'s
-//! accumulated parent-path distance on entry. On exit, `acc[s] <= limit`
-//! implies `acc[s]` is the exact accumulated distance including sibling
-//! `s`'s own pattern; `acc[s] > limit` means pruned, and the value may be
+//! `acc[s]` carries sibling `s`'s accumulated parent-path distance on
+//! entry. On exit, `acc[s] <= limit` implies `acc[s]` is the exact
+//! accumulated distance including sibling `s`'s own pattern; `acc[s] > limit` means pruned, and the value may be
 //! partial — kernels are free to stop work on a sibling, a lane, or the
 //! whole group once everything in it is over budget. With
 //! `limit == u32::MAX` nothing can be pruned, so every kernel returns
@@ -92,40 +88,23 @@ impl GroupLayout {
 /// Which kernel implementation services a group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// The reference kernels: branchy per-sibling scalar loops. SoA
-    /// scalar *is* [`crate::masked_distance_many`].
+    /// The reference kernels: branchy per-sibling scalar loops.
     Scalar,
-    /// Stable-Rust lane-chunked kernels: siblings processed in lanes of
-    /// [`LANES`] (SoA) / words in unrolled blocks of 4 (AoS), liveness
-    /// checked per lane, popcounts unrolled so they pipeline.
+    /// Lane-chunked kernels: siblings processed in lanes of [`LANES`]
+    /// (SoA) / words in unrolled blocks of 4 (AoS), liveness checked per
+    /// lane, popcounts unrolled so they pipeline.
     Lanes,
-    /// `std::simd` portable-SIMD kernels, compiled only with the `simd`
-    /// crate feature (nightly). Without the feature this variant is
-    /// still nameable and dispatches to [`Kernel::Lanes`].
-    Simd,
 }
 
 impl Kernel {
     /// Every kernel, in ascending sophistication — the bench/test matrix.
-    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Lanes, Kernel::Simd];
-
-    /// The best kernel this build can run: `Simd` when the `simd`
-    /// feature is compiled in, `Lanes` otherwise.
-    pub fn auto() -> Kernel {
-        if cfg!(feature = "simd") {
-            Kernel::Simd
-        } else {
-            Kernel::Lanes
-        }
-    }
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Lanes];
 
     /// The best kernel for the CPU this process is *running on*, probed
-    /// once and cached: [`Kernel::auto`] when the hardware popcount the
+    /// once and cached: [`Kernel::Lanes`] when the hardware popcount the
     /// lane-chunked kernels lean on is actually present, the branchy
-    /// scalar reference otherwise. Compile-time selection
-    /// ([`Kernel::auto`]) answers "what did we build?"; this answers
-    /// "what should this process run?" — the distinction matters for
-    /// portable binaries built without `-C target-cpu=native`.
+    /// scalar reference otherwise. The probe matters for portable
+    /// binaries built without `-C target-cpu=native`.
     ///
     /// Every kernel computes identical distances, so the choice is pure
     /// performance: callers (freeze, serve) may cache or override it
@@ -142,17 +121,8 @@ impl Kernel {
                     return Kernel::Scalar;
                 }
             }
-            Kernel::auto()
+            Kernel::Lanes
         })
-    }
-
-    /// False only for `Simd` in builds without the `simd` feature, where
-    /// dispatch substitutes the lane-chunked kernels.
-    pub fn is_native(self) -> bool {
-        match self {
-            Kernel::Simd => cfg!(feature = "simd"),
-            _ => true,
-        }
     }
 
     /// Stable lower-case name used in benches and tables.
@@ -160,14 +130,12 @@ impl Kernel {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Lanes => "lanes",
-            Kernel::Simd => "simd",
         }
     }
 }
 
-/// Sibling-lane width of the lane-chunked SoA kernel (and the
-/// portable-SIMD vector width): 8 × u64 = one 64-byte cache line of
-/// plane data per step.
+/// Sibling-lane width of the lane-chunked SoA kernel: 8 × u64 = one
+/// 64-byte cache line of plane data per step.
 pub const LANES: usize = 8;
 
 /// Words per unrolled block of the lane-chunked AoS kernel.
@@ -182,7 +150,17 @@ fn pop(q: u64, bits: u64, mask: u64) -> u32 {
 /// point of HA-Kern (see module docs for the contract).
 ///
 /// `planes` holds the group's `2 * query.len() * group` pattern words in
-/// `layout` order; `kernel` picks the implementation at runtime.
+/// `layout` order; `kernel` picks the implementation at runtime. In SoA
+/// order, for each word index `w` of the code, first the *bits* word `w`
+/// of every sibling, then the *mask* word `w` of every sibling:
+///
+/// ```text
+/// [ bits w0 of s0..s(g-1) | mask w0 of s0..s(g-1) |
+///   bits w1 of s0..s(g-1) | mask w1 of s0..s(g-1) | … ]
+/// ```
+///
+/// In AoS order, sibling 0's bits words then its mask words, then
+/// sibling 1's, and so on.
 ///
 /// # Panics
 /// If `planes.len() != 2 * query.len() * group`. `acc.len() == group` is
@@ -207,20 +185,31 @@ pub fn masked_distance_group(
         return;
     }
     match (kernel, layout) {
-        (Kernel::Scalar, GroupLayout::Soa) => {
-            crate::words::masked_distance_many(query, planes, group, limit, acc)
-        }
+        (Kernel::Scalar, GroupLayout::Soa) => soa_scalar(query, planes, group, limit, acc),
         (Kernel::Scalar, GroupLayout::Aos) => aos_scalar(query, planes, limit, acc),
         (Kernel::Lanes, GroupLayout::Soa) => soa_lanes(query, planes, group, limit, acc),
         (Kernel::Lanes, GroupLayout::Aos) => aos_lanes(query, planes, limit, acc),
-        #[cfg(feature = "simd")]
-        (Kernel::Simd, GroupLayout::Soa) => simd_impl::soa(query, planes, group, limit, acc),
-        #[cfg(feature = "simd")]
-        (Kernel::Simd, GroupLayout::Aos) => simd_impl::aos(query, planes, limit, acc),
-        #[cfg(not(feature = "simd"))]
-        (Kernel::Simd, GroupLayout::Soa) => soa_lanes(query, planes, group, limit, acc),
-        #[cfg(not(feature = "simd"))]
-        (Kernel::Simd, GroupLayout::Aos) => aos_lanes(query, planes, limit, acc),
+    }
+}
+
+/// Scalar SoA sweep: one branchy XOR/popcount step per live sibling per
+/// word-plane, bailing out of the group as soon as a plane ends with no
+/// sibling still within budget.
+fn soa_scalar(query: &[u64], planes: &[u64], group: usize, limit: u32, acc: &mut [u32]) {
+    for (plane, &q) in planes.chunks_exact(2 * group).zip(query) {
+        let (bits, mask) = plane.split_at(group);
+        let mut live = false;
+        for s in 0..group {
+            let a = acc[s];
+            if a <= limit {
+                let d = a + pop(q, bits[s], mask[s]);
+                acc[s] = d;
+                live |= d <= limit;
+            }
+        }
+        if !live {
+            return;
+        }
     }
 }
 
@@ -323,104 +312,6 @@ fn aos_lanes(query: &[u64], planes: &[u64], limit: u32, acc: &mut [u32]) {
             i += 1;
         }
         *a = d;
-    }
-}
-
-#[cfg(feature = "simd")]
-mod simd_impl {
-    //! `std::simd` variants (nightly, behind the `simd` feature). Same
-    //! contract, same lane shapes as the stable kernels: SoA runs 8
-    //! siblings per vector, AoS runs 4 words per vector per sibling.
-
-    use std::simd::cmp::SimdPartialOrd;
-    use std::simd::num::SimdUint;
-    use std::simd::{u32x8, u64x4, u64x8};
-
-    use super::{pop, LANES};
-
-    pub(super) fn soa(query: &[u64], planes: &[u64], group: usize, limit: u32, acc: &mut [u32]) {
-        let full = group - group % LANES;
-        let lim = u32x8::splat(limit);
-        // Single word-plane: no next plane to bail out of — one
-        // branch-free vector pass (see the lane-chunked kernel).
-        if let [q] = query {
-            let (bits, mask) = planes.split_at(group);
-            let qv = u64x8::splat(*q);
-            for ((b, m), a) in bits[..full]
-                .chunks_exact(LANES)
-                .zip(mask[..full].chunks_exact(LANES))
-                .zip(acc[..full].chunks_exact_mut(LANES))
-            {
-                let bv = u64x8::from_slice(b);
-                let mv = u64x8::from_slice(m);
-                let counts: u32x8 = ((qv ^ bv) & mv).count_ones().cast();
-                u32x8::from_slice(a).saturating_add(counts).copy_to_slice(a);
-            }
-            for s in full..group {
-                acc[s] = acc[s].saturating_add(pop(*q, bits[s], mask[s]));
-            }
-            return;
-        }
-        for (plane, &q) in planes.chunks_exact(2 * group).zip(query) {
-            let (bits, mask) = plane.split_at(group);
-            let qv = u64x8::splat(q);
-            let mut live = false;
-            for ((b, m), a) in bits[..full]
-                .chunks_exact(LANES)
-                .zip(mask[..full].chunks_exact(LANES))
-                .zip(acc[..full].chunks_exact_mut(LANES))
-            {
-                let av = u32x8::from_slice(a);
-                if av.simd_gt(lim).all() {
-                    continue;
-                }
-                let bv = u64x8::from_slice(b);
-                let mv = u64x8::from_slice(m);
-                let counts: u32x8 = ((qv ^ bv) & mv).count_ones().cast();
-                let dv = av.saturating_add(counts);
-                dv.copy_to_slice(a);
-                live |= dv.simd_le(lim).any();
-            }
-            for s in full..group {
-                let a = acc[s];
-                if a <= limit {
-                    let d = a + pop(q, bits[s], mask[s]);
-                    acc[s] = d;
-                    live |= d <= limit;
-                }
-            }
-            if !live {
-                return;
-            }
-        }
-    }
-
-    pub(super) fn aos(query: &[u64], planes: &[u64], limit: u32, acc: &mut [u32]) {
-        let w = query.len();
-        let lim = u64::from(limit);
-        for (a, row) in acc.iter_mut().zip(planes.chunks_exact(2 * w)) {
-            if *a > limit {
-                continue;
-            }
-            let (bits, mask) = row.split_at(w);
-            let mut d = u64::from(*a);
-            let mut i = 0;
-            while i + 4 <= w {
-                let qv = u64x4::from_slice(&query[i..i + 4]);
-                let bv = u64x4::from_slice(&bits[i..i + 4]);
-                let mv = u64x4::from_slice(&mask[i..i + 4]);
-                d += ((qv ^ bv) & mv).count_ones().reduce_sum();
-                if d > lim {
-                    break;
-                }
-                i += 4;
-            }
-            while i < w && d <= lim {
-                d += u64::from(pop(query[i], bits[i], mask[i]));
-                i += 1;
-            }
-            *a = d.min(u64::from(u32::MAX)) as u32;
-        }
     }
 }
 
@@ -581,27 +472,23 @@ mod tests {
     }
 
     #[test]
-    fn auto_kernel_is_native() {
-        assert!(Kernel::auto().is_native());
-        assert_eq!(Kernel::Simd.is_native(), cfg!(feature = "simd"));
+    fn layout_flags_round_trip() {
         assert_eq!(GroupLayout::from_flag(0), GroupLayout::Soa);
         assert_eq!(GroupLayout::from_flag(1), GroupLayout::Aos);
         assert_eq!(GroupLayout::Aos.flag(), 1);
     }
 
     #[test]
-    fn detected_kernel_is_native_and_stable() {
-        // Whatever the probe picks must be runnable in this build, and
-        // the OnceLock cache must make repeated probes free and equal.
+    fn detected_kernel_is_stable() {
+        // The OnceLock cache must make repeated probes free and equal.
         let k = Kernel::detect();
-        assert!(k.is_native());
         assert_eq!(Kernel::detect(), k);
         // On any host modern enough to run the test suite the probe
-        // finds popcount and agrees with the compile-time choice; the
-        // scalar fallback is for genuinely pre-SSE4.2 silicon.
+        // finds popcount and picks the lane kernels; the scalar
+        // fallback is for genuinely pre-SSE4.2 silicon.
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("popcnt") {
-            assert_eq!(k, Kernel::auto());
+            assert_eq!(k, Kernel::Lanes);
         }
     }
 }

@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 //! Binary-code substrate for Hamming-distance similarity search.
 //!
 //! This crate provides the data representations that every layer above it
@@ -25,14 +24,13 @@
 //!   early-exit word-slice distance used for candidate verification.
 //! * [`kernels`] — HA-Kern: the sibling-group distance kernels behind
 //!   every frozen-snapshot search path ([`Kernel`] × [`GroupLayout`]
-//!   dispatched through [`masked_distance_group`]), with `std::simd`
-//!   variants behind the nightly-only `simd` feature and one-time
+//!   dispatched through [`masked_distance_group`]), with one-time
 //!   runtime CPU-feature dispatch ([`Kernel::detect`]). See
 //!   `docs/KERNELS.md` for the tuning guide.
 //! * [`pool`] — HA-Par's scoped work-stealing [`pool::fan_out`]: the one
-//!   fan-out primitive behind parallel H-Build, `HaServe` shard probes
-//!   and morsel-split frontier levels, with results reassembled in task
-//!   order so parallel merges stay byte-identical to sequential ones.
+//!   fan-out primitive behind parallel H-Build and `HaServe`'s kNN
+//!   rounds, with results reassembled in task order so parallel merges
+//!   stay byte-identical to sequential ones.
 //! * [`prefetch`] — portable software-prefetch hints
 //!   ([`prefetch::prefetch_read`]) the traversal hot paths issue a
 //!   configurable distance ahead of the current sibling group.
@@ -69,7 +67,6 @@ pub use code::BinaryCode;
 pub use error::BitCodeError;
 pub use kernels::{masked_distance_group, GroupLayout, Kernel};
 pub use masked::MaskedCode;
-pub use words::masked_distance_many;
 
 /// Maximum supported code length in bits.
 ///

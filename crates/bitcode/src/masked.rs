@@ -102,8 +102,8 @@ impl MaskedCode {
     }
 
     /// Like [`MaskedCode::distance_to`], but bails out with `None` as soon
-    /// as the running distance exceeds `limit` — the scalar analogue of the
-    /// word-plane batch kernel [`crate::masked_distance_many`].
+    /// as the running distance exceeds `limit` — the single-pattern
+    /// analogue of the group kernel [`crate::masked_distance_group`].
     #[inline]
     pub fn distance_within(&self, query: &BinaryCode, limit: u32) -> Option<u32> {
         debug_assert_eq!(self.len(), query.len(), "pattern/query width mismatch");

@@ -42,7 +42,7 @@ use crate::{HammingIndex, TupleId};
 /// bridge that serves before any rebuild has run. The contract the
 /// overlay relies on:
 ///
-/// * `search` / `batch_search` return ids sorted ascending;
+/// * `search` returns ids sorted ascending;
 ///   `search_with_distances` sorts by `(id, distance)` — the canonical
 ///   planned orders, so swapping base shapes never reorders answers;
 /// * `ids_for_code` returns the *exact-code* id multiset (tombstone
@@ -60,8 +60,6 @@ pub trait DeltaBase {
     fn code_len(&self) -> usize;
     /// Hamming-select, ids sorted ascending.
     fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId>;
-    /// Batched Hamming-select, each answer sorted ascending.
-    fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>>;
     /// Hamming-select with exact distances, sorted by `(id, distance)`.
     fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)>;
     /// Distinct qualifying codes with exact distances (order free).
@@ -81,9 +79,6 @@ impl DeltaBase for PlannedIndex {
     }
     fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
         HammingIndex::search(self, query, h)
-    }
-    fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        PlannedIndex::batch_search(self, queries, h)
     }
     fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
         PlannedIndex::search_with_distances(self, query, h)
@@ -108,9 +103,6 @@ impl DeltaBase for MappedIndex {
     }
     fn search(&self, query: &BinaryCode, h: u32) -> Vec<TupleId> {
         MappedIndex::search(self, query, h)
-    }
-    fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        MappedIndex::batch_search(self, queries, h)
     }
     fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
         MappedIndex::search_with_distances(self, query, h)
@@ -265,34 +257,6 @@ impl DeltaIndex {
         out
     }
 
-    /// Composed batched select: one shared-frontier base traversal for
-    /// the whole batch, with the tombstone-aware path taken only for the
-    /// queries that actually have a tombstone in range.
-    pub fn batch_search<B: DeltaBase>(
-        &self,
-        base: &B,
-        queries: &[BinaryCode],
-        h: u32,
-    ) -> Vec<Vec<TupleId>> {
-        let mut answers = base.batch_search(queries, h);
-        for (q, ids) in queries.iter().zip(answers.iter_mut()) {
-            if self.tombstone_near(q, h) {
-                ids.clear();
-                for (code, _) in base.search_codes(q, h) {
-                    self.base_ids_surviving(base, &code, ids);
-                }
-            }
-            ids.extend(
-                self.adds
-                    .iter()
-                    .filter(|(c, _)| c.hamming(q) <= h)
-                    .map(|&(_, id)| id),
-            );
-            ids.sort_unstable();
-        }
-        answers
-    }
-
     /// Composed select with exact distances, sorted by `(id, distance)`
     /// (the canonical [`PlannedIndex::search_with_distances`] order).
     pub fn search_with_distances<B: DeltaBase>(
@@ -427,14 +391,6 @@ mod tests {
                 }
             }
             assert_eq!(delta.live_len(&base), live.len(), "step {step}");
-        }
-        // Batched reads agree with solo reads.
-        let queries: Vec<BinaryCode> = live.iter().take(6).map(|(c, _)| c.clone()).collect();
-        for h in [0u32, 2, 4] {
-            let batch = delta.batch_search(&base, &queries, h);
-            for (q, got) in queries.iter().zip(batch) {
-                assert_eq!(got, delta.search(&base, q, h), "batch ≡ solo h={h}");
-            }
         }
     }
 

@@ -14,7 +14,7 @@
 //! * **SoA word-planes** — for each sibling group, pattern words are stored
 //!   column-major: all siblings' *bits* word 0, all siblings' *mask* word 0,
 //!   then word 1, … Pruning a whole group is then one sequential scan of
-//!   contiguous memory by [`ha_bitcode::masked_distance_many`], which bails
+//!   contiguous memory by [`ha_bitcode::masked_distance_group`], which bails
 //!   out of a sibling as soon as its accumulated distance exceeds `h` and
 //!   out of the group as soon as nobody is left within budget.
 //! * **Leaf SoA** — leaf codes and their tuple-id lists in two flat arrays
@@ -29,7 +29,7 @@
 //! Since HA-Store, the traversal itself lives in `ha-store`'s
 //! [`FlatStoreView`] — the same arrays, borrowed — and this type is the
 //! *owner* of those arrays plus the arena-only extras (the `parent` array
-//! for trace rendering, the epoch gate). `search`/`batch_search`/… simply
+//! for trace rendering, the epoch gate). `search`/`search_codes`/… simply
 //! wrap the owned vectors in a view and delegate, which is what guarantees
 //! an `mmap`-ed snapshot answers byte-for-byte like a frozen one: both run
 //! the identical code. [`FlatHaIndex::store_bytes`] serializes the arrays
@@ -75,9 +75,6 @@ pub struct FreezePolicy {
     /// Frontier prefetch look-ahead for the snapshot's views; `None`
     /// takes the measured default, `Some(0)` disables the hints.
     prefetch: Option<usize>,
-    /// Worker threads for morsel-split frontier levels; `None` (and
-    /// anything `<= 1`) keeps traversal on the calling thread.
-    workers: Option<usize>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,7 +95,6 @@ impl FreezePolicy {
             aos_max_group: 16,
             kernel: None,
             prefetch: None,
-            workers: None,
         }
     }
 
@@ -127,7 +123,7 @@ impl FreezePolicy {
     /// Pins the snapshot's sweep kernel instead of deferring to the
     /// runtime probe. Every kernel computes identical distances, so
     /// this is a pure performance knob (scalar for tracing/debugging,
-    /// lanes/simd for throughput).
+    /// lanes for throughput).
     pub fn with_kernel(mut self, kernel: Kernel) -> FreezePolicy {
         self.kernel = Some(kernel);
         self
@@ -137,15 +133,6 @@ impl FreezePolicy {
     /// group being swept; `0` disables the hints).
     pub fn prefetch_distance(mut self, distance: usize) -> FreezePolicy {
         self.prefetch = Some(distance);
-        self
-    }
-
-    /// Lets the snapshot's views split frontier levels wider than two
-    /// morsels across up to `workers` scoped threads. Answers stay
-    /// byte-identical at any worker count (morsel results are
-    /// reassembled in frontier order).
-    pub fn parallel_workers(mut self, workers: usize) -> FreezePolicy {
-        self.workers = Some(workers);
         self
     }
 
@@ -159,11 +146,6 @@ impl FreezePolicy {
     /// policy use.
     pub fn prefetch(&self) -> usize {
         self.prefetch.unwrap_or(ha_bitcode::prefetch::PREFETCH_DISTANCE)
-    }
-
-    /// Worker threads for morsel-split frontier levels (1 = sequential).
-    pub fn workers(&self) -> usize {
-        self.workers.unwrap_or(1)
     }
 
     /// The layout this policy assigns a `group`-wide sibling group of
@@ -240,7 +222,6 @@ pub struct FlatHaIndex {
     /// re-resolves for the host it runs on.
     kernel: Kernel,
     prefetch: usize,
-    workers: usize,
 }
 
 /// Appends one sibling group's patterns to `planes` in the layout the
@@ -371,7 +352,6 @@ pub(super) fn compile(idx: &DynamicHaIndex, policy: FreezePolicy) -> FlatHaIndex
         aos_groups,
         kernel: policy.kernel(),
         prefetch: policy.prefetch(),
-        workers: policy.workers(),
     }
 }
 
@@ -452,13 +432,11 @@ impl FlatHaIndex {
 
     /// Zero-copy search view over the owned arrays — the same type an
     /// `mmap`-ed HA-Store snapshot hands out — carrying the execution
-    /// knobs (kernel, prefetch distance, morsel workers) the freeze
-    /// policy resolved.
+    /// knobs (kernel, prefetch distance) the freeze policy resolved.
     pub fn view(&self) -> FlatStoreView<'_> {
         FlatStoreView::from_parts_unchecked(self.parts())
             .with_kernel(self.kernel)
             .with_prefetch(self.prefetch)
-            .with_parallel(self.workers)
     }
 
     /// Serializes the snapshot into the persistent HA-Store format
@@ -518,15 +496,6 @@ impl FlatHaIndex {
     /// H-Search returning distinct qualifying codes with exact distances.
     pub fn search_codes(&self, query: &BinaryCode, h: u32) -> Vec<(BinaryCode, u32)> {
         self.view().search_codes(query, h)
-    }
-
-    /// Batched H-Search: one solo flat traversal per query, sharing the
-    /// thread's scratch buffers across the whole batch so the steady
-    /// state allocates nothing per query. (PR 3's serve bench showed raw
-    /// per-query CPU, not traversal sharing, bounds throughput once
-    /// locks are amortized.)
-    pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        self.view().batch_search(queries, h)
     }
 
     /// Reconstructs node `v`'s residual pattern from its sibling group's
@@ -741,21 +710,6 @@ mod tests {
         assert_eq!(ids_f, ids_a);
         assert_eq!(steps_f, steps_a);
         assert_eq!(ids_f, vec![0]);
-    }
-
-    #[test]
-    fn batch_matches_solo_on_flat() {
-        let data = clustered_dataset(400, 64, 6, 3, 17);
-        let mut idx = DynamicHaIndex::build(data);
-        idx.freeze();
-        let mut rng = StdRng::seed_from_u64(18);
-        let queries: Vec<BinaryCode> = (0..13).map(|_| BinaryCode::random(64, &mut rng)).collect();
-        for h in [0u32, 3, 6, 10] {
-            let batched = idx.batch_search(&queries, h);
-            for (qi, q) in queries.iter().enumerate() {
-                assert_eq!(batched[qi], idx.search(q, h), "h={h} query {qi}");
-            }
-        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod static_ha;
 pub mod testkit;
 
 pub use delta::{DeltaBase, DeltaIndex, DeltaOp};
-pub use exec::{ExecConfig, SearchExecutor};
+pub use exec::ExecConfig;
 pub use mapped::MappedIndex;
 pub use dynamic::{DhaConfig, DynamicHaIndex, FlatHaIndex, FreezePolicy};
 pub use hengine::HEngine;

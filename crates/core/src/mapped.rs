@@ -93,15 +93,6 @@ impl MappedIndex {
         out
     }
 
-    /// Batched Hamming-select, each answer sorted ascending.
-    pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        let mut out = self.view().batch_search(queries, h);
-        for ids in &mut out {
-            ids.sort_unstable();
-        }
-        out
-    }
-
     /// Hamming-select with exact distances, sorted by `(id, distance)`.
     pub fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
         let mut out = self.view().search_with_distances(query, h);
@@ -162,10 +153,6 @@ mod tests {
                     planned.search_with_distances(q, h),
                     "h={h}"
                 );
-            }
-            let batch = mapped.batch_search(&queries, h);
-            for (q, got) in queries.iter().zip(batch) {
-                assert_eq!(got, mapped.search(q, h));
             }
         }
         for (code, _) in data.iter().take(20) {

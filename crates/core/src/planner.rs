@@ -290,8 +290,7 @@ pub struct PlanConfig {
     /// Cost model driving routing decisions.
     pub model: CostModel,
     /// Policy every snapshot of this index is frozen under — layout
-    /// choice plus the HA-Par execution knobs (kernel, prefetch,
-    /// morsel workers).
+    /// choice plus the HA-Par execution knobs (kernel, prefetch).
     pub freeze: FreezePolicy,
 }
 
@@ -430,26 +429,6 @@ impl PlannedIndex {
         hits
     }
 
-    /// Routed batch search: one routing decision for the whole batch
-    /// (same profile, same `h`), answers per query in canonical order.
-    pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        match self.backend_for(h) {
-            Backend::HaFlat | Backend::ArenaBfs => {
-                let mut answers = if let Some(f) = self.dha.flat() {
-                    f.batch_search(queries, h)
-                } else {
-                    self.dha.batch_search_arena(queries, h)
-                };
-                for a in &mut answers {
-                    a.sort_unstable();
-                }
-                answers
-            }
-            Backend::Mih => self.mih.batch_search(queries, h),
-            Backend::Linear => queries.iter().map(|q| self.mih.scan(q, h)).collect(),
-        }
-    }
-
     /// Refreshes the flat snapshot (under the configured policy) and the
     /// clusteredness estimate. Idempotent while the epoch is unchanged,
     /// like [`DynamicHaIndex::freeze`].
@@ -506,8 +485,11 @@ impl HammingIndex for PlannedIndex {
         self.search_routed(query, h).1
     }
 
+    /// Arena, flat snapshot and MIH tables — everything the index holds.
     fn memory_bytes(&self) -> usize {
-        self.dha.memory_bytes() + self.mih.memory_bytes()
+        self.dha.memory_bytes()
+            + self.dha.flat().map_or(0, |f| f.memory_bytes())
+            + self.mih.memory_bytes()
     }
 }
 
@@ -703,23 +685,33 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_distances_are_canonical() {
+    fn distances_are_canonical() {
         let data = clustered_dataset(150, 128, 2, 4, 21);
         let idx = PlannedIndex::build(128, data.clone());
         let queries: Vec<BinaryCode> = data.iter().take(4).map(|(c, _)| c.clone()).collect();
         for h in [1u32, 4, 9] {
-            let batch = idx.batch_search(&queries, h);
-            for (q, got) in queries.iter().zip(&batch) {
-                assert_eq!(got, &idx.search(q, h), "batch ≡ solo at h={h}");
+            for q in &queries {
+                let got = idx.search(q, h);
                 let dists = idx.search_with_distances(q, h);
                 assert_eq!(
                     dists.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-                    *got,
+                    got,
                     "distance ids ≡ select ids at h={h}"
                 );
                 assert!(dists.windows(2).all(|w| w[0] <= w[1]), "sorted by (id, d)");
             }
         }
+    }
+
+    #[test]
+    fn memory_bytes_sums_arena_flat_and_mih() {
+        let idx = PlannedIndex::build(64, clustered_dataset(300, 64, 3, 2, 5));
+        let flat = idx.dha().flat().expect("build freezes a snapshot");
+        assert!(flat.memory_bytes() > 0);
+        assert_eq!(
+            idx.memory_bytes(),
+            idx.dha().memory_bytes() + flat.memory_bytes() + idx.mih().memory_bytes()
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use std::fmt;
 
 use ha_core::dynamic::DecodeError;
+use ha_mapreduce::wal::WalError;
 use ha_mapreduce::DfsError;
 use ha_store::StoreError;
 
@@ -48,6 +49,29 @@ pub enum ServiceError {
     /// at this operation — the deterministic stand-in for `kill -9` that
     /// the recovery tests use. Only injected faults produce this.
     CrashInjected,
+    /// Recovery found the service's `META` record malformed: it must
+    /// hold a code length in `1..=MAX_BITS` and a shard count ≥ 1.
+    MalformedMeta {
+        /// Path of the offending record.
+        path: String,
+    },
+    /// Recovery found a shard's `CURRENT` manifest empty, so there is no
+    /// published generation to load.
+    EmptyManifest {
+        /// Path of the offending manifest.
+        path: String,
+    },
+    /// A shard's write-ahead log failed to replay (a segment that cannot
+    /// be read, or whose framing or checksum does not verify).
+    Wal(WalError),
+    /// A WAL record passed its checksum but its payload is not an
+    /// encoded insert or delete for this service's code length.
+    MalformedWalOp {
+        /// Path of the shard's log.
+        path: String,
+        /// Sequence number of the offending record.
+        seq: u64,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -72,6 +96,16 @@ impl fmt::Display for ServiceError {
             ServiceError::CrashInjected => {
                 write!(f, "injected crash: service killed by fault plan")
             }
+            ServiceError::MalformedMeta { path } => {
+                write!(f, "recovery failed: malformed meta record {path}")
+            }
+            ServiceError::EmptyManifest { path } => {
+                write!(f, "recovery failed: empty generation manifest {path}")
+            }
+            ServiceError::Wal(e) => write!(f, "recovery failed: {e}"),
+            ServiceError::MalformedWalOp { path, seq } => {
+                write!(f, "recovery failed: record {seq} of {path} is not a valid operation")
+            }
         }
     }
 }
@@ -82,6 +116,7 @@ impl std::error::Error for ServiceError {
             ServiceError::Storage(e) => Some(e),
             ServiceError::Decode(e) => Some(e),
             ServiceError::Store(e) => Some(e),
+            ServiceError::Wal(e) => Some(e),
             _ => None,
         }
     }
@@ -102,6 +137,12 @@ impl From<DecodeError> for ServiceError {
 impl From<StoreError> for ServiceError {
     fn from(e: StoreError) -> Self {
         ServiceError::Store(e)
+    }
+}
+
+impl From<WalError> for ServiceError {
+    fn from(e: WalError) -> Self {
+        ServiceError::Wal(e)
     }
 }
 
@@ -140,5 +181,16 @@ mod tests {
         let e: ServiceError = DfsError::FileNotFound { path: "/idx".into() }.into();
         assert!(e.source().is_some());
         assert!(e.to_string().contains("/idx"));
+        let e: ServiceError = WalError::Corrupt {
+            path: "/wal/7".into(),
+            reason: "checksum footer mismatch".into(),
+        }
+        .into();
+        assert!(e.source().is_some());
+        assert!(e.to_string().contains("checksum footer mismatch"), "reason survives: {e}");
+        let e = ServiceError::MalformedWalOp { path: "/wal".into(), seq: 9 };
+        assert!(e.to_string().contains("record 9"));
+        assert!(ServiceError::EmptyManifest { path: "/m".into() }.to_string().contains("manifest"));
+        assert!(ServiceError::MalformedMeta { path: "/META".into() }.to_string().contains("meta"));
     }
 }

@@ -10,9 +10,9 @@
 //! query time instead of join time:
 //!
 //! * **Micro-batching** ([`ServeConfig::max_batch`]): queued selects with
-//!   the same radius are answered by one shared-frontier H-Search per
-//!   shard — the forest is walked once per batch, exactly as the
-//!   MapReduce join walks it once per partition of R.
+//!   the same radius are answered as one batch, which pays for the cache
+//!   lock and the shard read locks once — as the MapReduce join pays its
+//!   task setup once per partition of R.
 //! * **Admission control** ([`ServeConfig::queue_capacity`]): the request
 //!   queue is bounded and overflow is a typed
 //!   [`ServiceError::Overloaded`], never an unbounded backlog.

@@ -107,7 +107,8 @@ impl ServeMetrics {
     }
 
     /// Mean number of queries per executed micro-batch (1.0 with no
-    /// batching benefit; higher means the shared frontier amortized more).
+    /// batching benefit; higher means the locks were amortized over more
+    /// queries).
     pub fn mean_batch_size(&self) -> f64 {
         let batches: u64 = self.batch_sizes.iter().map(|&(_, c)| c).sum();
         if batches == 0 {

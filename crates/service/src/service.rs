@@ -31,8 +31,9 @@
 //! Serving mechanisms on top of plain H-Search:
 //!
 //! * **Micro-batching** — queued selects with the same radius are grouped
-//!   and answered by one *shared-frontier* batched H-Search per shard:
-//!   the forest is traversed once per batch instead of once per query.
+//!   into one batch, which takes the cache lock and every shard's read
+//!   lock once and then runs one H-Search per query per shard on the
+//!   worker that claimed it.
 //! * **Admission control** — the request queue is bounded; a full queue
 //!   rejects with [`ServiceError::Overloaded`]. Requests may also carry a
 //!   **deadline**: work whose deadline expired while queued is shed at
@@ -61,15 +62,14 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ha_bitcode::BinaryCode;
+use ha_bitcode::{pool, BinaryCode, Kernel};
 use ha_core::delta::{DeltaBase, DeltaIndex, DeltaOp};
 use ha_core::planner::{PlanConfig, PlannedIndex};
 use ha_core::{
-    CostModel, DhaConfig, DynamicHaIndex, ExecConfig, HammingIndex, MappedIndex, SearchExecutor,
-    TupleId,
+    CostModel, DhaConfig, DynamicHaIndex, ExecConfig, HammingIndex, MappedIndex, TupleId,
 };
-use ha_mapreduce::wal::{DfsWal, WalError};
-use ha_mapreduce::{DfsError, InMemoryDfs};
+use ha_mapreduce::wal::DfsWal;
+use ha_mapreduce::InMemoryDfs;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cache::ResultCache;
@@ -122,11 +122,13 @@ pub struct ServeConfig {
     /// panics/delays and scripted process crashes around the WAL append.
     /// Empty by default (no faults).
     pub merge_faults: MergeFaultPlan,
-    /// HA-Par execution knobs: how many workers a select/kNN/batch fans
-    /// its shard probes across, plus the kernel and prefetch settings
-    /// forwarded into every generation's freeze policy. The default
-    /// sizes the fan-out to the host; [`ExecConfig::sequential`] is the
-    /// byte-identical oracle configuration.
+    /// HA-Par execution knobs: how many workers a kNN round fans its
+    /// shard probes across, plus the kernel and prefetch settings
+    /// forwarded into every generation's freeze policy. Selects always
+    /// probe their shards inline on the worker that claimed the batch.
+    /// The default sizes the kNN fan-out to the host;
+    /// [`ExecConfig::sequential`] is the byte-identical oracle
+    /// configuration.
     pub exec: ExecConfig,
 }
 
@@ -247,12 +249,6 @@ impl DeltaBase for GenIndex {
         match self {
             GenIndex::Planned(p) => DeltaBase::search(p, query, h),
             GenIndex::Mapped(m) => DeltaBase::search(m, query, h),
-        }
-    }
-    fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<TupleId>> {
-        match self {
-            GenIndex::Planned(p) => DeltaBase::batch_search(p, queries, h),
-            GenIndex::Mapped(m) => DeltaBase::batch_search(m, queries, h),
         }
     }
     fn search_with_distances(&self, query: &BinaryCode, h: u32) -> Vec<(TupleId, u32)> {
@@ -550,9 +546,6 @@ struct Inner {
     mutation_ordinal: AtomicU64,
     faults: MergeFaultInjector,
     durable: Option<Durable>,
-    /// HA-Par executor every select/kNN/batch fans its shard probes
-    /// through (inline when `cfg.exec.workers <= 1`).
-    exec: SearchExecutor,
     cfg: ServeConfig,
 }
 
@@ -655,6 +648,13 @@ impl HaServe {
     /// state every WAL-durable mutation implies — which includes every
     /// acknowledged one (WAL-before-ack), and possibly a durable-but-
     /// unacknowledged tail.
+    ///
+    /// Damaged durable state is reported by kind, never by panic:
+    /// [`ServiceError::MalformedMeta`], [`ServiceError::EmptyManifest`],
+    /// [`ServiceError::Wal`] (a log segment that cannot be read or does
+    /// not verify) and [`ServiceError::MalformedWalOp`] (a verified
+    /// record that is not an operation); missing files surface as
+    /// [`ServiceError::Storage`].
     pub fn recover(
         dfs: &Arc<InMemoryDfs>,
         base: &str,
@@ -663,23 +663,25 @@ impl HaServe {
         let base = base.trim_end_matches('/').to_string();
         let meta: Vec<u64> = dfs.try_get(&meta_path(&base))?;
         let (code_len, nshards) = match meta.as_slice() {
-            [len, n, ..] if *n >= 1 => (*len as usize, *n as usize),
+            [len, n, ..] if (1..=ha_bitcode::MAX_BITS as u64).contains(len) && *n >= 1 => {
+                (*len as usize, *n)
+            }
             _ => {
-                return Err(ServiceError::Storage(DfsError::ChecksumMismatch {
+                return Err(ServiceError::MalformedMeta {
                     path: meta_path(&base),
-                    block: 0,
-                }))
+                })
             }
         };
-        let mut shards = Vec::with_capacity(nshards);
+        // No capacity hint from `nshards`: a corrupt count must fail on
+        // the first missing manifest, not on an oversized allocation.
+        let mut shards = Vec::new();
         let mut replayed_total = 0u64;
-        for s in 0..nshards {
+        for s in 0..nshards as usize {
             let manifest: Vec<(u64, u64)> = dfs.try_get(&manifest_path(&base, s))?;
             let Some(&(gen_no, through_seq)) = manifest.first() else {
-                return Err(ServiceError::Storage(DfsError::ChecksumMismatch {
+                return Err(ServiceError::EmptyManifest {
                     path: manifest_path(&base, s),
-                    block: 0,
-                }));
+                });
             };
             let blob: Vec<u8> = dfs.try_get(&gen_blob_path(&base, s, gen_no))?;
             // HA-Store snapshots (the format every generation is
@@ -700,15 +702,15 @@ impl HaServe {
             {
                 let _replay_span =
                     ha_obs::span_labeled("serve.gen.replay", || format!("shard={s}"));
-                for (seq, payload) in wal.replay().map_err(wal_to_service)? {
+                for (seq, payload) in wal.replay()? {
                     if seq <= through_seq {
                         continue;
                     }
                     let Some(op) = decode_op(&payload, code_len) else {
-                        return Err(ServiceError::Storage(DfsError::ChecksumMismatch {
+                        return Err(ServiceError::MalformedWalOp {
                             path: wal_path(&base, s),
-                            block: seq as usize,
-                        }));
+                            seq,
+                        });
                     };
                     delta.apply(&index, seq, op);
                     replayed_total += 1;
@@ -748,6 +750,15 @@ impl HaServe {
         durable: Option<Durable>,
         cfg: ServeConfig,
     ) -> HaServe {
+        // Record the sweep kernel this process actually dispatches to,
+        // so a trace shows the runtime choice, not what was compiled in.
+        ha_obs::add(
+            match cfg.exec.resolved_kernel() {
+                Kernel::Scalar => "exec.kernel.scalar",
+                Kernel::Lanes => "exec.kernel.lanes",
+            },
+            1,
+        );
         let inner = Arc::new(Inner {
             code_len,
             state: Mutex::new(MetricsState::new(shards.len())),
@@ -764,7 +775,6 @@ impl HaServe {
             mutation_ordinal: AtomicU64::new(0),
             faults: MergeFaultInjector::new(cfg.merge_faults.clone()),
             durable,
-            exec: SearchExecutor::new(&cfg.exec),
             cfg,
         });
         let workers: Vec<JoinHandle<()>> = (0..inner.cfg.workers)
@@ -1209,15 +1219,6 @@ fn fresh_shard(index: PlannedIndex, gen_no: u64, through_seq: u64, wal: Option<D
     }
 }
 
-fn wal_to_service(e: WalError) -> ServiceError {
-    match e {
-        WalError::Storage(e) => ServiceError::Storage(e),
-        WalError::Corrupt { path, .. } => {
-            ServiceError::Storage(DfsError::ChecksumMismatch { path, block: 0 })
-        }
-    }
-}
-
 impl std::fmt::Debug for HaServe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HaServe")
@@ -1539,7 +1540,6 @@ impl Inner {
         }
     }
 
-    #[allow(clippy::needless_range_loop)]
     fn process_select_batch(
         &self,
         h: u32,
@@ -1587,28 +1587,23 @@ impl Inner {
             let seq = self.batch_seq.fetch_add(1, Ordering::SeqCst);
             let start = (self.cfg.seed.wrapping_add(seq) % nshards as u64) as usize;
             merged = vec![Vec::new(); miss_codes.len()];
-            // HA-Par: per-shard probes are independent reads under the
-            // guards held above, so they fan out as stealable tasks.
-            // The executor returns results in rotation order — exactly
-            // the order the old sequential loop produced — and the
-            // merge below is shard-order-insensitive anyway (ids are
-            // sorted after the union), so answers are byte-identical
-            // at any worker count (see DESIGN.md).
-            let probes = self.exec.fan_out(nshards, |off| {
+            // Probe the shards inline, in rotation order: concurrent
+            // batches already run on the service's other workers, so a
+            // per-batch fan-out would only add thread spawns (DESIGN.md,
+            // "Parallel query execution"). The merge below sorts each
+            // union, so answers do not depend on the rotation.
+            for off in 0..nshards {
                 let s = (start + off) % nshards;
+                let g = &guards[s];
                 let t0 = Instant::now();
-                let per_query = {
+                {
                     let _probe_span =
                         ha_obs::span_labeled("serve.shard_probe", || format!("shard={s}"));
-                    guards[s].delta.batch_search(&guards[s].gen.index, &miss_codes, h)
-                };
-                (s, t0.elapsed(), per_query)
-            });
-            for (s, elapsed, per_query) in probes {
-                probe_times.push((s, elapsed));
-                for (qi, ids) in per_query.into_iter().enumerate() {
-                    merged[qi].extend(ids);
+                    for (ids, code) in merged.iter_mut().zip(&miss_codes) {
+                        ids.extend(g.delta.search(&g.gen.index, code, h));
+                    }
                 }
+                probe_times.push((s, t0.elapsed()));
             }
             for ids in &mut merged {
                 ids.sort_unstable();
@@ -1681,13 +1676,24 @@ impl Inner {
             let max_r = self.code_len as u32;
             let mut r = 0u32;
             loop {
-                // Shard probes fan out per round; results come back in
-                // shard order, so concatenation (and the final sort by
+                // Shard probes fan out per round (inline when
+                // `cfg.exec.workers <= 1`); results come back in shard
+                // order, so concatenation (and the final sort by
                 // `(d, id)`) matches the sequential loop exactly.
                 let mut cands: Vec<(TupleId, u32)> = Vec::new();
-                let round = self.exec.fan_out(guards.len(), |s| {
-                    guards[s].delta.search_with_distances(&guards[s].gen.index, code, r)
-                });
+                let probe =
+                    |s: usize| guards[s].delta.search_with_distances(&guards[s].gen.index, code, r);
+                let workers = self.cfg.exec.workers;
+                let round = if workers <= 1 || guards.len() <= 1 {
+                    (0..guards.len()).map(probe).collect()
+                } else {
+                    let _span = ha_obs::span_labeled("exec.fan_out", || {
+                        format!("tasks={} workers={workers}", guards.len())
+                    });
+                    ha_obs::add("exec.parallel_fanouts", 1);
+                    ha_obs::add("exec.tasks", guards.len() as u64);
+                    pool::fan_out(workers, guards.len(), probe)
+                };
                 for part in round {
                     cands.extend(part);
                 }
@@ -2156,5 +2162,196 @@ mod tests {
         let m = serve.metrics();
         assert_eq!(m.selects, 64);
         assert_eq!(m.cache_hits + m.cache_misses, 64);
+    }
+
+    /// Recovery over damaged durable state (ROADMAP 5d): each case plants
+    /// one fault in a durable service's DFS and checks that `recover`
+    /// reports exactly that fault as a typed error — never a panic,
+    /// never a misattributed error.
+    mod recovery_faults {
+        use super::*;
+        use ha_mapreduce::wal::WalError;
+        use proptest::prelude::*;
+
+        const BITS: usize = 16;
+        const BASE: &str = "/srv";
+
+        /// One planted fault.
+        #[derive(Clone, Debug)]
+        enum Plant {
+            /// A valid WAL frame cut to `keep` bytes (mod its length).
+            Truncated(usize),
+            /// A valid WAL frame with one bit (mod its bit length) flipped.
+            BitFlip(usize),
+            /// Arbitrary bytes in place of a WAL segment.
+            Garbage(Vec<u8>),
+            /// A well-framed WAL record carrying an arbitrary payload.
+            Payload(Vec<u8>),
+            /// `META` rewritten with an invalid record.
+            Meta(Vec<u64>),
+            /// A shard's `CURRENT` manifest emptied.
+            EmptyManifest,
+        }
+
+        /// Draws a fault of kind `kind % 6` from `rng`.
+        fn plant(kind: u8, rng: &mut StdRng) -> Plant {
+            let op_len = 9 + BITS.div_ceil(8);
+            let bytes = |rng: &mut StdRng, n: usize| (0..n).map(|_| rng.gen()).collect::<Vec<u8>>();
+            match kind % 6 {
+                0 => Plant::Truncated(rng.gen()),
+                1 => Plant::BitFlip(rng.gen()),
+                2 => {
+                    let n = rng.gen_range(0..64);
+                    Plant::Garbage(bytes(rng, n))
+                }
+                // Half arbitrary lengths, half the right length with a
+                // tag byte of 0–3: valid inserts and deletes as well as
+                // unknown tags.
+                3 if rng.gen_bool(0.5) => {
+                    let n = rng.gen_range(0..2 * op_len);
+                    Plant::Payload(bytes(rng, n))
+                }
+                3 => {
+                    let mut p = bytes(rng, op_len);
+                    p[0] = rng.gen_range(0..4);
+                    Plant::Payload(p)
+                }
+                4 => Plant::Meta(match rng.gen_range(0..4) {
+                    0 => (0..rng.gen_range(0..2)).map(|_| rng.gen()).collect(),
+                    1 => vec![rng.gen(), 0],
+                    2 => vec![rng.gen_range(ha_bitcode::MAX_BITS as u64 + 1..u64::MAX), 2],
+                    _ => vec![0, rng.gen_range(1..8)],
+                }),
+                _ => Plant::EmptyManifest,
+            }
+        }
+
+        /// A durable two-shard service with acknowledged mutations in
+        /// both WALs, shut down; returns the DFS and the shard holding
+        /// `probe` (which then has at least one WAL segment).
+        fn durable(seed: u64, probe: &BinaryCode) -> (Arc<InMemoryDfs>, usize) {
+            let dfs = Arc::new(InMemoryDfs::new());
+            let cfg = ServeConfig {
+                workers: 0,
+                shards: 2,
+                ..ServeConfig::default()
+            };
+            let serve =
+                HaServe::bootstrap_durable(&dfs, BASE, BITS, dataset(40, BITS, seed), cfg).unwrap();
+            serve.insert(probe.clone(), 500).unwrap();
+            serve
+                .insert(
+                    BinaryCode::random(BITS, &mut StdRng::seed_from_u64(seed)),
+                    501,
+                )
+                .unwrap();
+            let shard = serve.shard_of(probe);
+            (dfs, shard)
+        }
+
+        fn segment_path(shard: usize, seq: u64) -> String {
+            format!("{}/{seq:020}", wal_path(BASE, shard))
+        }
+
+        /// Appends a well-framed record with `payload` to `shard`'s log
+        /// and returns its sequence number.
+        fn append(dfs: &Arc<InMemoryDfs>, shard: usize, payload: &[u8]) -> u64 {
+            DfsWal::open(Arc::clone(dfs), &wal_path(BASE, shard))
+                .append(payload)
+                .unwrap()
+        }
+
+        fn put_segment(dfs: &InMemoryDfs, shard: usize, seq: u64, frame: Vec<u8>) {
+            dfs.try_put_with_blocks(&segment_path(shard, seq), frame, usize::MAX, 1)
+                .unwrap();
+        }
+
+        fn assert_wal_corrupt(got: Result<HaServe, ServiceError>, shard: usize, seq: u64) {
+            match got {
+                Err(ServiceError::Wal(WalError::Corrupt { path, reason })) => {
+                    assert_eq!(path, segment_path(shard, seq));
+                    assert!(!reason.is_empty());
+                }
+                other => panic!("expected a corrupt WAL segment, got {other:?}"),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn recover_names_every_planted_fault(seed in any::<u64>(), kind in any::<u8>()) {
+                let plant = plant(kind, &mut StdRng::seed_from_u64(seed ^ 0xFA17));
+                let probe = BinaryCode::random(BITS, &mut StdRng::seed_from_u64(seed ^ 0x5EED));
+                let (dfs, shard) = durable(seed, &probe);
+                let cfg = ServeConfig { workers: 0, shards: 2, ..ServeConfig::default() };
+                let valid = encode_op(&DeltaOp::Insert(probe.clone(), 777));
+                match plant {
+                    Plant::Truncated(keep) => {
+                        let seq = append(&dfs, shard, &valid);
+                        let mut frame: Vec<u8> = dfs.try_get(&segment_path(shard, seq)).unwrap();
+                        frame.truncate(keep % frame.len());
+                        put_segment(&dfs, shard, seq, frame);
+                        assert_wal_corrupt(HaServe::recover(&dfs, BASE, cfg), shard, seq);
+                    }
+                    Plant::BitFlip(bit) => {
+                        let seq = append(&dfs, shard, &valid);
+                        let mut frame: Vec<u8> = dfs.try_get(&segment_path(shard, seq)).unwrap();
+                        let bit = bit % (8 * frame.len());
+                        frame[bit / 8] ^= 1 << (bit % 8);
+                        put_segment(&dfs, shard, seq, frame);
+                        assert_wal_corrupt(HaServe::recover(&dfs, BASE, cfg), shard, seq);
+                    }
+                    Plant::Garbage(bytes) => {
+                        let seq = DfsWal::open(Arc::clone(&dfs), &wal_path(BASE, shard)).next_seq();
+                        put_segment(&dfs, shard, seq, bytes);
+                        assert_wal_corrupt(HaServe::recover(&dfs, BASE, cfg), shard, seq);
+                    }
+                    Plant::Payload(payload) => {
+                        let seq = append(&dfs, shard, &payload);
+                        let got = HaServe::recover(&dfs, BASE, cfg);
+                        match decode_op(&payload, BITS) {
+                            Some(op) => {
+                                let serve = got.unwrap();
+                                if let DeltaOp::Insert(code, id) = op {
+                                    prop_assert!(serve.select(&code, 0).unwrap().contains(&id));
+                                }
+                            }
+                            None => match got {
+                                Err(ServiceError::MalformedWalOp { path, seq: at }) => {
+                                    prop_assert_eq!(path, wal_path(BASE, shard));
+                                    prop_assert_eq!(at, seq);
+                                }
+                                other => panic!("expected a malformed WAL op, got {other:?}"),
+                            },
+                        }
+                    }
+                    Plant::Meta(words) => {
+                        dfs.try_put_with_blocks(&meta_path(BASE), words, usize::MAX, 8).unwrap();
+                        match HaServe::recover(&dfs, BASE, cfg) {
+                            Err(ServiceError::MalformedMeta { path }) => {
+                                prop_assert_eq!(path, meta_path(BASE));
+                            }
+                            other => panic!("expected a malformed meta record, got {other:?}"),
+                        }
+                    }
+                    Plant::EmptyManifest => {
+                        dfs.try_put_with_blocks(
+                            &manifest_path(BASE, shard),
+                            Vec::<(u64, u64)>::new(),
+                            usize::MAX,
+                            16,
+                        )
+                        .unwrap();
+                        match HaServe::recover(&dfs, BASE, cfg) {
+                            Err(ServiceError::EmptyManifest { path }) => {
+                                prop_assert_eq!(path, manifest_path(BASE, shard));
+                            }
+                            other => panic!("expected an empty manifest, got {other:?}"),
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 //!   [`FlatStoreView`] whose slices point **into the mapping**. First
 //!   query runs straight off the page cache; nothing is parsed into
 //!   owned nodes, ever.
-//! * **Search** ([`FlatStoreView`]): the level-synchronous batched
+//! * **Search** ([`FlatStoreView`]): the level-synchronous group-swept
 //!   masked-distance traversal, shared — this crate hosts the single
 //!   implementation and `ha-core`'s `FlatHaIndex` delegates to it, so
 //!   mapped answers are byte-for-byte identical to in-memory ones.

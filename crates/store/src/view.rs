@@ -37,7 +37,6 @@
 
 use std::cell::RefCell;
 
-use ha_bitcode::pool::fan_out;
 use ha_bitcode::prefetch::{prefetch_index, PREFETCH_DISTANCE};
 use ha_bitcode::{masked_distance_group, BinaryCode, GroupLayout, Kernel};
 
@@ -45,11 +44,6 @@ use crate::error::StoreError;
 
 /// Sentinel for "not a leaf" in `leaf_slot` (mirrors `FlatHaIndex`).
 pub const NONE: u32 = u32::MAX;
-
-/// Contiguous frontier entries per stealable morsel when a level is
-/// split across workers; levels shorter than two morsels stay
-/// sequential (the split overhead would exceed the sweep).
-const MORSEL: usize = 32;
 
 /// Borrowed flat arrays of one frozen snapshot. Field meanings are
 /// identical to `ha-core`'s `FlatHaIndex` (see that module's docs); ids
@@ -92,7 +86,7 @@ pub struct FlatParts<'a> {
 
 /// Reusable traversal buffers — two swapped level-synchronous frontiers
 /// plus the per-group distance accumulators handed to the batch kernel.
-/// One `Scratch` can serve a whole batch of queries, so steady-state
+/// One `Scratch` can serve any number of queries, so steady-state
 /// searches allocate nothing.
 #[derive(Default)]
 pub struct Scratch {
@@ -103,8 +97,8 @@ pub struct Scratch {
 
 thread_local! {
     /// Each thread's long-lived [`Scratch`]: the convenience entry
-    /// points (`search`, `search_with_distances`, `search_codes`,
-    /// `batch_search`) borrow it for the duration of one call instead
+    /// points (`search`, `search_with_distances`, `search_codes`)
+    /// borrow it for the duration of one call instead
     /// of allocating fresh frontier `Vec`s every time, so steady-state
     /// serving allocates nothing per query (EXPERIMENTS.md, "HA-Par",
     /// has the before/after numbers).
@@ -130,9 +124,6 @@ pub struct FlatStoreView<'a> {
     kernel: Kernel,
     /// Frontier look-ahead distance for software prefetch; 0 disables.
     prefetch: usize,
-    /// Worker threads for morsel-split frontier levels; <= 1 keeps the
-    /// traversal on the calling thread.
-    workers: usize,
 }
 
 impl<'a> FlatStoreView<'a> {
@@ -284,7 +275,6 @@ impl<'a> FlatStoreView<'a> {
             parts,
             kernel: Kernel::detect(),
             prefetch: PREFETCH_DISTANCE,
-            workers: 1,
         }
     }
 
@@ -292,7 +282,7 @@ impl<'a> FlatStoreView<'a> {
     /// runtime-detected [`Kernel::detect`]. Every kernel computes
     /// identical distances (pinned by the equivalence suite); this only
     /// selects the instruction pattern — scalar for tracing/debugging,
-    /// lanes or simd for throughput.
+    /// lanes for throughput.
     pub fn with_kernel(mut self, kernel: Kernel) -> FlatStoreView<'a> {
         self.kernel = kernel;
         self
@@ -306,17 +296,6 @@ impl<'a> FlatStoreView<'a> {
         self
     }
 
-    /// Same view splitting large frontier levels into [`MORSEL`]-entry
-    /// morsels stolen by up to `workers` scoped threads. `<= 1` keeps
-    /// the traversal entirely on the calling thread (no pool, no
-    /// channel). Emission and next-frontier order are reassembled in
-    /// morsel order, so answers stay byte-identical at any worker
-    /// count.
-    pub fn with_parallel(mut self, workers: usize) -> FlatStoreView<'a> {
-        self.workers = workers;
-        self
-    }
-
     /// The kernel this view dispatches group sweeps to.
     pub fn kernel(&self) -> Kernel {
         self.kernel
@@ -325,11 +304,6 @@ impl<'a> FlatStoreView<'a> {
     /// Frontier prefetch look-ahead in entries (0 = disabled).
     pub fn prefetch(&self) -> usize {
         self.prefetch
-    }
-
-    /// Worker threads used for morsel-split frontier levels.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The underlying borrowed arrays.
@@ -425,87 +399,6 @@ impl<'a> FlatStoreView<'a> {
         }
     }
 
-    /// Sweeps frontier entry `(p, acc)`'s child group and routes each
-    /// surviving child: leaves to `emit`, internal nodes to `next`.
-    /// The one loop body both the sequential and the morsel level walks
-    /// execute — identical code is what keeps them byte-identical.
-    #[inline]
-    fn sweep_entry(
-        &self,
-        qw: &[u64],
-        h: u32,
-        p: u32,
-        acc: u32,
-        dist: &mut Vec<u32>,
-        next: &mut Vec<(u32, u32)>,
-        emit: &mut impl FnMut(u32, u32),
-    ) {
-        let (planes, g, lo) = self.child_group(p);
-        dist.clear();
-        dist.resize(g, acc);
-        masked_distance_group(
-            self.kernel,
-            self.layout_of(p as usize + 1),
-            qw,
-            planes,
-            g,
-            h,
-            dist,
-        );
-        for s in 0..g {
-            let d = dist[s];
-            if d <= h {
-                let v = self.parts.children[lo + s];
-                if self.parts.leaf_slot[v as usize] != NONE {
-                    emit(v, d);
-                } else {
-                    next.push((v, d));
-                }
-            }
-        }
-    }
-
-    /// One frontier level split into [`MORSEL`]-entry morsels stolen by
-    /// up to `self.workers` scoped threads. Each morsel processes its
-    /// contiguous run with [`FlatStoreView::sweep_entry`] into private
-    /// buffers; the results come back in morsel order (the pool
-    /// guarantees task order), so replaying emissions and concatenating
-    /// next-frontier runs reproduces the sequential order exactly.
-    fn run_level_morsels(
-        &self,
-        qw: &[u64],
-        h: u32,
-        frontier: &[(u32, u32)],
-        next: &mut Vec<(u32, u32)>,
-        emit: &mut impl FnMut(u32, u32),
-    ) {
-        let n_morsels = frontier.len().div_ceil(MORSEL);
-        let parts = fan_out(self.workers, n_morsels, |mi| {
-            let lo = mi * MORSEL;
-            let hi = (lo + MORSEL).min(frontier.len());
-            let mut emits: Vec<(u32, u32)> = Vec::new();
-            let mut nxt: Vec<(u32, u32)> = Vec::new();
-            let mut dist: Vec<u32> = Vec::new();
-            for i in lo..hi {
-                // Hinting past the morsel boundary is fine: the
-                // neighbour's first group is as likely to be swept soon
-                // (by whichever worker claims it) as our own next one.
-                self.prefetch_frontier(frontier, i);
-                let (p, acc) = frontier[i];
-                self.sweep_entry(qw, h, p, acc, &mut dist, &mut nxt, &mut |v, d| {
-                    emits.push((v, d));
-                });
-            }
-            (emits, nxt)
-        });
-        for (emits, nxt) in parts {
-            for (v, d) in emits {
-                emit(v, d);
-            }
-            next.extend_from_slice(&nxt);
-        }
-    }
-
     /// Core level-synchronous traversal — ported verbatim from
     /// `FlatHaIndex::run` so visit order (and thus result order) is
     /// byte-for-byte identical to a freshly frozen in-memory index.
@@ -552,18 +445,34 @@ impl<'a> FlatStoreView<'a> {
 
         // Descend level by level; each internal survivor scans its
         // child group with one kernel call seeded at the parent's
-        // accumulator. Levels wide enough to amortize the pool are
-        // morsel-split across workers; either way the emission and
-        // next-frontier order match the plain sequential walk exactly.
+        // accumulator.
         while !frontier.is_empty() {
             next.clear();
-            if self.workers > 1 && frontier.len() >= 2 * MORSEL {
-                self.run_level_morsels(qw, h, frontier, next, emit);
-            } else {
-                for i in 0..frontier.len() {
-                    self.prefetch_frontier(frontier, i);
-                    let (p, acc) = frontier[i];
-                    self.sweep_entry(qw, h, p, acc, dist, next, emit);
+            for i in 0..frontier.len() {
+                self.prefetch_frontier(frontier, i);
+                let (p, acc) = frontier[i];
+                let (planes, g, lo) = self.child_group(p);
+                dist.clear();
+                dist.resize(g, acc);
+                masked_distance_group(
+                    self.kernel,
+                    self.layout_of(p as usize + 1),
+                    qw,
+                    planes,
+                    g,
+                    h,
+                    dist,
+                );
+                for s in 0..g {
+                    let d = dist[s];
+                    if d <= h {
+                        let v = self.parts.children[lo + s];
+                        if self.parts.leaf_slot[v as usize] != NONE {
+                            emit(v, d);
+                        } else {
+                            next.push((v, d));
+                        }
+                    }
                 }
             }
             std::mem::swap(frontier, next);
@@ -577,7 +486,7 @@ impl<'a> FlatStoreView<'a> {
         out
     }
 
-    /// H-Search appending into caller-owned buffers (batch-friendly).
+    /// H-Search appending into caller-owned buffers.
     pub fn search_into(
         &self,
         query: &BinaryCode,
@@ -614,17 +523,6 @@ impl<'a> FlatStoreView<'a> {
                 let slot = self.parts.leaf_slot[v as usize] as usize;
                 out.push((BinaryCode::from_words(self.row(slot), self.parts.code_len), d));
             })
-        });
-        out
-    }
-
-    /// Batched H-Search sharing this thread's scratch across the batch.
-    pub fn batch_search(&self, queries: &[BinaryCode], h: u32) -> Vec<Vec<u64>> {
-        let mut out: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-        with_scratch(|scratch| {
-            for (slot, query) in out.iter_mut().zip(queries) {
-                self.search_into(query, h, scratch, slot);
-            }
         });
         out
     }
@@ -876,26 +774,20 @@ mod tests {
 
     #[test]
     fn execution_knobs_never_change_answers() {
-        // Prefetch and worker settings are pure execution knobs; on the
-        // tiny snapshot every combination (including ones that force
-        // the hint at out-of-range look-aheads) must answer exactly
-        // like the defaults. The morsel path itself needs a frontier
-        // wider than 2×MORSEL — tests/exec_equivalence.rs covers that
-        // on full-size indexes.
+        // Prefetch is a pure execution knob; on the tiny snapshot every
+        // distance (including out-of-range look-aheads) must answer
+        // exactly like the default.
         let t = Tiny::build();
         let view = FlatStoreView::new(t.parts()).expect("valid");
         assert_eq!(view.prefetch(), ha_bitcode::prefetch::PREFETCH_DISTANCE);
-        assert_eq!(view.workers(), 1);
         for q in [bc(0b1010_0000), bc(0b1111_0000)] {
             for h in 0..=8 {
                 let want = view.search(&q, h);
                 let want_d = view.search_with_distances(&q, h);
-                for workers in [0, 1, 2, 8] {
-                    for pf in [0, 1, 4, 1000] {
-                        let v = view.with_parallel(workers).with_prefetch(pf);
-                        assert_eq!(v.search(&q, h), want, "w={workers} pf={pf} h={h}");
-                        assert_eq!(v.search_with_distances(&q, h), want_d);
-                    }
+                for pf in [0, 1, 4, 1000] {
+                    let v = view.with_prefetch(pf);
+                    assert_eq!(v.search(&q, h), want, "pf={pf} h={h}");
+                    assert_eq!(v.search_with_distances(&q, h), want_d);
                 }
             }
         }

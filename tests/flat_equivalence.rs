@@ -111,12 +111,6 @@ fn assert_views_agree(
             );
         }
     }
-    let max_h = max_h.max(1);
-    assert_eq!(
-        frozen.batch_search(queries, max_h),
-        thawed.batch_search(queries, max_h),
-        "{ctx}: batch"
-    );
     for (i, q) in queries.iter().enumerate() {
         for k in [1usize, 3, 16] {
             assert_eq!(knn(frozen, q, k), knn(thawed, q, k), "{ctx}: kNN q={i} k={k}");
@@ -258,11 +252,9 @@ proptest! {
     }
 }
 
-/// The HA-Kern matrix: every kernel (scalar, lane-chunked, simd — which
-/// falls back to lanes without the nightly `simd` feature, keeping the
-/// matrix uniform across both CI configs) × every freeze-policy layout
-/// (all-SoA, all-AoS, adaptive) must answer select, kNN and batch
-/// byte-identically to the scalar/all-SoA baseline, and the baseline
+/// The HA-Kern matrix: every kernel (scalar, lane-chunked) × every
+/// freeze-policy layout (all-SoA, all-AoS, adaptive) must answer select
+/// and kNN byte-identically to the scalar/all-SoA baseline, and the baseline
 /// must match the linear-scan oracle. This is the contract that makes
 /// kernel choice a pure performance knob.
 fn kernel_matrix_case(seed: u64, bits: usize) {
@@ -326,18 +318,9 @@ fn kernel_matrix_case(seed: u64, bits: usize) {
                     );
                 }
             }
-            assert_eq!(
-                view.batch_search(&queries, radii[2]),
-                baseline
-                    .view()
-                    .with_kernel(Kernel::Scalar)
-                    .batch_search(&queries, radii[2]),
-                "batch: bits={bits} layout={pname} kernel={}",
-                kernel.name()
-            );
         }
         // kNN rides on search_with_distances through the index surface;
-        // one pass per policy (the index dispatches Kernel::auto()).
+        // one pass per policy (the index dispatches Kernel::detect()).
         for (i, q) in queries.iter().enumerate() {
             for (ki, k) in [1usize, 5].into_iter().enumerate() {
                 assert_eq!(

@@ -125,12 +125,6 @@ fn assert_backends_agree(
             assert_matches_oracle(m, live, q, h, &format!("{ctx} mih h={h}"));
         }
     }
-    if let Some(&h) = radii.iter().max() {
-        let batch = mih.batch_search(queries, h);
-        for (q, got) in queries.iter().zip(&batch) {
-            assert_eq!(got, &mih.search(q, h), "{ctx}: batch ≡ solo");
-        }
-    }
     for (i, q) in queries.iter().enumerate() {
         for k in [1usize, 3, 16] {
             let via_mih = knn(code_len, k, q, |q, h| mih.search_with_distances(q, h));

@@ -98,10 +98,9 @@ const BUDGET: &[(&str, usize, usize, usize, usize)] = &[
     // boundary, not panic-capable escape hatches in kernel bodies.
     ("crates/bitcode/src/kernels.rs", 0, 0, 0, 0),
     // HA-Par: the work-stealing pool carries every parallel fan-out
-    // (shard probes, morsel levels, parallel build) and the prefetch
-    // shim is issued from the innermost traversal loop — both are held
-    // to the serving layer's zero budget, as is the executor that wraps
-    // them.
+    // (kNN rounds, parallel build) and the prefetch shim is issued from
+    // the innermost traversal loop — both are held to the serving
+    // layer's zero budget, as are the execution settings.
     ("crates/bitcode/src/pool.rs", 0, 0, 0, 0),
     ("crates/bitcode/src/prefetch.rs", 0, 0, 0, 0),
     ("crates/core/src/exec.rs", 0, 0, 0, 0),
